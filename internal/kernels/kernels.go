@@ -1,10 +1,11 @@
 // Package kernels provides the native SpMV kernels corresponding to
 // the simulator's configurations: the scalar CSR baseline (Fig 2),
-// unrolled multi-accumulator variants, a software-prefetch variant
-// using look-ahead touch loads (S4), DeltaCSR kernels, the two-phase
-// SplitCSR kernel (Fig 6), and the two modified bound kernels of
-// Section III-B. All kernels operate on row ranges so the parallel
-// executor can drive them under any schedule.
+// the 8-accumulator vector kernel that every vectorize, prefetch and
+// unroll plan runs natively, DeltaCSR kernels, the two-phase SplitCSR
+// kernel (Fig 6), and the two modified bound kernels of Section
+// III-B. All kernels operate on row ranges so the parallel executor
+// can drive them under any schedule. Software prefetch, the ML remedy,
+// has no native body of its own; Variant explains why.
 //
 // The hottest inner loops — the CSR vector kernel, the SELL-C-σ C=8
 // chunk kernel, and the register-blocked SpMM k=4/8 bodies — also
@@ -40,29 +41,6 @@ func CSRRange(m *matrix.CSR, x, y []float64, lo, hi int) {
 	}
 }
 
-// CSRUnrolled4Range unrolls the inner loop four-way with independent
-// accumulators (the CMP-class scalar optimization: exposes ILP and
-// halves loop bookkeeping).
-//
-//spmv:hotpath
-func CSRUnrolled4Range(m *matrix.CSR, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			s0 += m.Val[j] * x[m.ColInd[j]]
-			s1 += m.Val[j+1] * x[m.ColInd[j+1]]
-			s2 += m.Val[j+2] * x[m.ColInd[j+2]]
-			s3 += m.Val[j+3] * x[m.ColInd[j+3]]
-		}
-		for ; j < jhi; j++ {
-			s0 += m.Val[j] * x[m.ColInd[j]]
-		}
-		y[i] = (s0 + s1) + (s2 + s3)
-	}
-}
-
 // CSRVector8Range is the pure-Go vector kernel: eight independent
 // accumulators mirroring an 8-lane SIMD unit. Since the AVX2/AVX-512
 // gather bodies landed (asm_amd64.s) it is no longer a stand-in but
@@ -90,35 +68,6 @@ func CSRVector8Range(m *matrix.CSR, x, y []float64, lo, hi int) {
 			tail += m.Val[j] * x[m.ColInd[j]]
 		}
 		y[i] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + tail
-	}
-}
-
-// PrefetchDistance is the look-ahead distance in elements: the paper
-// fixes it to the elements per cache line (Section III-E).
-const PrefetchDistance = 8
-
-// CSRPrefetchRange inserts a look-ahead touch load of
-// x[colind[j+PrefetchDistance]] — a genuine prefetch: the load pulls
-// the line into cache ahead of its use (the ML-class optimization).
-//
-//spmv:hotpath
-func CSRPrefetchRange(m *matrix.CSR, x, y []float64, lo, hi int) {
-	var sink float64
-	nnz := int64(len(m.ColInd))
-	for i := lo; i < hi; i++ {
-		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
-		var sum float64
-		for j := jlo; j < jhi; j++ {
-			if p := j + PrefetchDistance; p < nnz {
-				sink += x[m.ColInd[p]] // touch: brings the line in
-			}
-			sum += m.Val[j] * x[m.ColInd[j]]
-		}
-		y[i] = sum
-	}
-	// Keep the compiler from eliding the touch loads.
-	if sink == 0x1p-1000 {
-		y[lo] += sink
 	}
 }
 
@@ -186,37 +135,6 @@ func SplitPhase2Partial(s *formats.SplitCSR, x []float64, slot []float64, t, nt 
 		plo := lo + span*int64(t)/int64(nt)
 		phi := lo + span*int64(t+1)/int64(nt)
 		slot[k] = s.LongRowPartial(k, x, plo, phi)
-	}
-}
-
-// CSRVector8PrefetchRange combines the vectorized kernel with
-// look-ahead touch loads — the joint ML+{MB,CMP} configuration.
-//
-//spmv:hotpath
-func CSRVector8PrefetchRange(m *matrix.CSR, x, y []float64, lo, hi int) {
-	var sink float64
-	nnz := int64(len(m.ColInd))
-	for i := lo; i < hi; i++ {
-		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		j := jlo
-		for ; j+8 <= jhi; j += 8 {
-			if p := j + 2*PrefetchDistance; p < nnz {
-				sink += x[m.ColInd[p]]
-			}
-			s0 += m.Val[j]*x[m.ColInd[j]] + m.Val[j+1]*x[m.ColInd[j+1]]
-			s1 += m.Val[j+2]*x[m.ColInd[j+2]] + m.Val[j+3]*x[m.ColInd[j+3]]
-			s2 += m.Val[j+4]*x[m.ColInd[j+4]] + m.Val[j+5]*x[m.ColInd[j+5]]
-			s3 += m.Val[j+6]*x[m.ColInd[j+6]] + m.Val[j+7]*x[m.ColInd[j+7]]
-		}
-		var tail float64
-		for ; j < jhi; j++ {
-			tail += m.Val[j] * x[m.ColInd[j]]
-		}
-		y[i] = (s0 + s1) + (s2 + s3) + tail
-	}
-	if sink == 0x1p-1000 {
-		y[lo] += sink
 	}
 }
 
@@ -309,45 +227,30 @@ func SellCSVariant(s *formats.SellCS, vectorize bool) (func(s *formats.SellCS, x
 // Names of dispatched assembly bodies carry the ISA suffix ("-avx2",
 // "-avx512"); pure-Go bodies are unsuffixed.
 func VariantName(vectorize, prefetch, unroll bool) string {
-	switch {
-	case vectorize && prefetch:
-		return "csr-vec8-prefetch"
-	case vectorize:
-		if _, isa := dispatchCSRVec8(); isa != "" {
-			return "csr-vec8-" + isa
-		}
-		return "csr-vec8"
-	case prefetch:
-		return "csr-prefetch"
-	case unroll:
-		return "csr-unrolled4"
-	default:
+	if !(vectorize || prefetch || unroll) {
 		return "csr"
 	}
+	if _, isa := dispatchCSRVec8(); isa != "" {
+		return "csr-vec8-" + isa
+	}
+	return "csr-vec8"
 }
 
 // Variant selects a range kernel by optimization flags (compression
 // and splitting are handled by the executor, which owns the converted
-// formats). Vectorization subsumes unrolling: the vector kernel is the
-// unrolled form. The plain vectorize case dispatches to the widest
-// assembly body the host executes; the vectorize+prefetch combination
-// stays pure Go — the gather body issues its x loads up front, which
-// is the latency remedy the touch-load variant emulates, so fusing a
-// software prefetch into it would only duplicate traffic.
+// formats). Any of the three flags selects the vector body, dispatched
+// to the widest assembly the host executes: vectorization is the
+// unrolled form (eight independent accumulators), and the gather
+// issues a row's x loads up front, which is the latency remedy a
+// software prefetch would only duplicate. The modeled platforms still
+// price prefetch and unrolling as separate remedies; natively they
+// share this one body. No flag selects the scalar Fig 2 kernel.
 func Variant(vectorize, prefetch, unroll bool) RangeKernel {
-	switch {
-	case vectorize && prefetch:
-		return CSRVector8PrefetchRange
-	case vectorize:
-		if k, _ := dispatchCSRVec8(); k != nil {
-			return k
-		}
-		return CSRVector8Range
-	case prefetch:
-		return CSRPrefetchRange
-	case unroll:
-		return CSRUnrolled4Range
-	default:
+	if !(vectorize || prefetch || unroll) {
 		return CSRRange
 	}
+	if k, _ := dispatchCSRVec8(); k != nil {
+		return k
+	}
+	return CSRVector8Range
 }

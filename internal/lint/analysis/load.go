@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -83,10 +84,11 @@ func (l *Loader) Check(importPath string, filenames []string) (*Package, error) 
 	return &Package{Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// CheckDir type-checks every non-test .go file in dir as one package.
-// analysistest loads fixture directories through it; the spmvlint
-// driver resolves real packages via `go list` instead and calls Check
-// directly.
+// CheckDir type-checks every non-test .go file in dir that the default
+// build context selects (so of a race/!race or amd64/noasm file pair,
+// exactly one is loaded) as one package. analysistest loads fixture
+// directories through it; cmd/spmvlint resolves real packages via
+// `go list` instead and calls Check directly.
 func (l *Loader) CheckDir(dir, importPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -96,6 +98,11 @@ func (l *Loader) CheckDir(dir, importPath string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

@@ -95,7 +95,8 @@ func AnyAliased(xs, ys [][]float64) bool {
 // reused when it has the capacity (and reallocated otherwise), so
 // steady-state packing with a stable block shape allocates nothing;
 // the packed block (length len(xs[0])*len(xs)) is returned. All
-// vectors must share one length.
+// vectors must share one length. The race detector does not see the
+// element accesses (see packBlock).
 func PackBlock(dst []float64, xs [][]float64) []float64 {
 	k := len(xs)
 	if k == 0 {
@@ -111,21 +112,55 @@ func PackBlock(dst []float64, xs [][]float64) []float64 {
 		dst = make([]float64, n*k)
 	}
 	dst = dst[:n*k]
+	packBlock(dst, xs, n, k)
+	return dst
+}
+
+// packBlock is PackBlock's element loop, with straight-line bodies for
+// the widths the blocked kernels are register-tiled for (4 and 8):
+// each source is sliced to n once, so the loop carries no per-element
+// slice-header loads or bounds checks.
+//
+// Like the assembly kernels it feeds, the loop is not instrumented by
+// the race detector: per-element instrumentation made packing cost
+// more than the SpMM itself. Callers that share the vectors report
+// them whole (RaceReadRange, RaceWriteRange), as native's Prepared
+// entry points do.
+//
+//go:norace
+func packBlock(dst []float64, xs [][]float64, n, k int) {
 	// Element-major order: the destination is written sequentially and
 	// the k sources are each read sequentially (k parallel streams);
 	// the vector-major order would store with a k*8-byte stride,
 	// touching a fresh cache line per write.
-	for j := 0; j < n; j++ {
-		dr := dst[j*k : j*k+k]
-		for l, x := range xs {
-			dr[l] = x[j]
+	switch k {
+	case 4:
+		x0, x1, x2, x3 := xs[0][:n], xs[1][:n], xs[2][:n], xs[3][:n]
+		for j := 0; j < n; j++ {
+			d := dst[j*4 : j*4+4 : j*4+4]
+			d[0], d[1], d[2], d[3] = x0[j], x1[j], x2[j], x3[j]
+		}
+	case 8:
+		x0, x1, x2, x3 := xs[0][:n], xs[1][:n], xs[2][:n], xs[3][:n]
+		x4, x5, x6, x7 := xs[4][:n], xs[5][:n], xs[6][:n], xs[7][:n]
+		for j := 0; j < n; j++ {
+			d := dst[j*8 : j*8+8 : j*8+8]
+			d[0], d[1], d[2], d[3] = x0[j], x1[j], x2[j], x3[j]
+			d[4], d[5], d[6], d[7] = x4[j], x5[j], x6[j], x7[j]
+		}
+	default:
+		for j := 0; j < n; j++ {
+			dr := dst[j*k : j*k+k]
+			for l, x := range xs {
+				dr[l] = x[j]
+			}
 		}
 	}
-	return dst
 }
 
 // UnpackBlock scatters the interleaved block src back into the vectors
-// ys: ys[l][j] = src[j*k+l]. It is the inverse of PackBlock.
+// ys: ys[l][j] = src[j*k+l]. It is the inverse of PackBlock, and like
+// it invisible to the race detector element by element.
 func UnpackBlock(ys [][]float64, src []float64) {
 	k := len(ys)
 	if k == 0 {
@@ -140,11 +175,36 @@ func UnpackBlock(ys [][]float64, src []float64) {
 			panic(fmt.Sprintf("matrix: UnpackBlock vector %d has length %d, want %d", l, len(y), n))
 		}
 	}
+	unpackBlock(ys, src, n, k)
+}
+
+// unpackBlock is UnpackBlock's element loop, shaped and uninstrumented
+// as packBlock is.
+//
+//go:norace
+func unpackBlock(ys [][]float64, src []float64, n, k int) {
 	// Element-major, as in PackBlock: sequential reads, k streams out.
-	for j := 0; j < n; j++ {
-		sr := src[j*k : j*k+k]
-		for l, y := range ys {
-			y[j] = sr[l]
+	switch k {
+	case 4:
+		y0, y1, y2, y3 := ys[0][:n], ys[1][:n], ys[2][:n], ys[3][:n]
+		for j := 0; j < n; j++ {
+			s := src[j*4 : j*4+4 : j*4+4]
+			y0[j], y1[j], y2[j], y3[j] = s[0], s[1], s[2], s[3]
+		}
+	case 8:
+		y0, y1, y2, y3 := ys[0][:n], ys[1][:n], ys[2][:n], ys[3][:n]
+		y4, y5, y6, y7 := ys[4][:n], ys[5][:n], ys[6][:n], ys[7][:n]
+		for j := 0; j < n; j++ {
+			s := src[j*8 : j*8+8 : j*8+8]
+			y0[j], y1[j], y2[j], y3[j] = s[0], s[1], s[2], s[3]
+			y4[j], y5[j], y6[j], y7[j] = s[4], s[5], s[6], s[7]
+		}
+	default:
+		for j := 0; j < n; j++ {
+			sr := src[j*k : j*k+k]
+			for l, y := range ys {
+				y[j] = sr[l]
+			}
 		}
 	}
 }

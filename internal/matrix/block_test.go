@@ -21,7 +21,7 @@ func randomCSR(t *testing.T, n, deg int, seed int64) *CSR {
 
 func TestPackUnpackBlockRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, k := range []int{1, 2, 3, 8} {
+	for _, k := range []int{1, 2, 3, 4, 5, 8} {
 		xs := make([][]float64, k)
 		for l := range xs {
 			xs[l] = make([]float64, 17)

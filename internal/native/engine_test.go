@@ -309,7 +309,9 @@ func TestPreparedIntrospection(t *testing.T) {
 	if !p.Opt().Vectorize || !p.Opt().Prefetch {
 		t.Fatalf("opt = %v", p.Opt())
 	}
-	if p.Kernel() != "csr-vec8-prefetch" {
+	// Prefetch runs on the dispatched gather body, whose name carries
+	// the ISA suffix ("csr-vec8-avx512" etc.): compare by prefix.
+	if !strings.HasPrefix(p.Kernel(), "csr-vec8") {
 		t.Fatalf("kernel = %q", p.Kernel())
 	}
 	if s := e.Prepare(m, ex.Optim{Split: true}).(*Prepared); s.Kernel() != "split+csr" {

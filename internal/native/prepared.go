@@ -84,7 +84,7 @@ func (p *Prepared) MemBytes() int64 { return p.matrixBytes }
 func (p *Prepared) Threads() int { return p.nt }
 
 // Kernel names the compiled inner kernel, e.g. "delta" or
-// "csr-vec8-prefetch".
+// "csr-vec8-avx512".
 func (p *Prepared) Kernel() string { return p.kernelName }
 
 // MulVec computes y = A*x. Safe for concurrent use; allocation-free in
@@ -95,6 +95,8 @@ func (p *Prepared) MulVec(x, y []float64) {
 	if matrix.Aliased(x, y) {
 		panic("native: Prepared.MulVec input and output must not alias")
 	}
+	matrix.RaceReadRange(x)
+	matrix.RaceWriteRange(y)
 	p.mu.Lock()
 	p.mulVecLocked(x, y, nil)
 	p.mu.Unlock()
@@ -114,6 +116,12 @@ func (p *Prepared) MulVec(x, y []float64) {
 func (p *Prepared) MulVecBatch(xs, ys [][]float64) {
 	if matrix.AnyAliased(xs, ys) {
 		panic("native: Prepared.MulVecBatch inputs and outputs must not alias")
+	}
+	for _, x := range xs {
+		matrix.RaceReadRange(x)
+	}
+	for _, y := range ys {
+		matrix.RaceWriteRange(y)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -163,6 +171,8 @@ func (p *Prepared) MulMat(x, y []float64, k int) {
 	if matrix.Aliased(x, y) {
 		panic("native: MulMat input and output must not alias")
 	}
+	matrix.RaceReadRange(x)
+	matrix.RaceWriteRange(y)
 	p.mu.Lock()
 	p.mulMatLocked(x, y, k, nil)
 	p.mu.Unlock()
@@ -309,8 +319,7 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 
 // bindRange compiles a RangeKernel under the resolved schedule. The
 // blocked body always runs the register-blocked CSR SpMM kernel: the
-// scalar variants (prefetch, unroll, the 8-accumulator vector
-// stand-in) exist to optimize the one-vector loop, and register
+// vector body exists to optimize the one-vector loop, and register
 // blocking across right-hand sides IS that optimization for blocks.
 // The bound probe kernels (RegularizeX/UnitStride) do not compute SpMV
 // and have no blocked form; bodyBlock stays nil for them, so batch

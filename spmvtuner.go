@@ -332,6 +332,12 @@ type Analysis struct {
 	// on this host ("avx512", "avx2", "scalar") — the provenance the
 	// plan carries so a warm start on different hardware re-measures.
 	KernelISA string
+	// Kernel names the body the prepared kernel actually runs, e.g.
+	// "csr-vec8-avx512", "split+csr" or "delta". Every plan that sets
+	// vectorize, prefetch or unroll on CSR runs the dispatched gather
+	// body, so its name need not echo Optimizations. Tune only:
+	// Analyze compiles nothing and leaves it empty.
+	Kernel string
 	// Precision is the value-storage precision the plan executes:
 	// "f64" (exact, the default), "f32", or "split64" (f32 values plus
 	// an exact f64 correction stream). Reduced precisions appear only
@@ -407,6 +413,9 @@ func (t *Tuner) Tune(m *Matrix) *Tuned {
 		KernelISA:         pl.KernelISA,
 		Precision:         pl.Opt.EffectivePrecision().String(),
 		Warm:              warm,
+	}
+	if k, ok := prep.(interface{ Kernel() string }); ok {
+		info.Kernel = k.Kernel()
 	}
 	if pl.MeasuredGflops > 0 {
 		info.OptimizedGflops = pl.MeasuredGflops

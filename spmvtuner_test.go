@@ -4,8 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	ex "github.com/sparsekit/spmvtuner/internal/exec"
+	"github.com/sparsekit/spmvtuner/internal/kernels"
+	"github.com/sparsekit/spmvtuner/internal/plan"
+	"github.com/sparsekit/spmvtuner/internal/planstore"
 )
 
 func buildRandom(rows, cols, per int, seed int64) *Matrix {
@@ -255,6 +261,60 @@ func TestTunedInfoExposed(t *testing.T) {
 	}
 	if k.Optimizations() == "" {
 		t.Fatal("no optimization string")
+	}
+}
+
+// TestTunedInfoReportsKernel: Info().Kernel names the body the
+// prepared kernel runs, not the knobs. A stored vec+prefetch+unroll
+// plan must report the dispatched gather body and still compute the
+// reference product.
+func TestTunedInfoReportsKernel(t *testing.T) {
+	tu := NewTuner()
+	defer tu.Close()
+	m := buildRandom(2000, 2000, 6, 41)
+	cold := tu.Tune(m)
+	if cold.Info().Kernel == "" {
+		t.Fatal("tuned kernel reports no body")
+	}
+	if tu.Analyze(m).Kernel != "" {
+		t.Fatal("Analyze compiles nothing but reports a kernel body")
+	}
+
+	// Rewrite the stored decision to the joint ML+CMP plan; the next
+	// Tune warm-starts from it.
+	key := planstore.Key{Fingerprint: cold.Info().Fingerprint,
+		Machine: tu.nat.Machine().Codename, Version: plan.CurrentVersion}
+	pl, ok := tu.store.Get(key)
+	if !ok {
+		t.Fatal("cold tune stored no plan")
+	}
+	pl.Opt = ex.Optim{Vectorize: true, Prefetch: true, Unroll: true, Schedule: pl.Opt.Schedule}
+	if err := tu.store.Put(key, pl); err != nil {
+		t.Fatal(err)
+	}
+	warm := tu.Tune(m)
+	if !warm.Info().Warm || !strings.HasPrefix(warm.Optimizations(), "vec+prefetch+unroll@") {
+		t.Fatalf("warm plan = %q (warm %v)", warm.Optimizations(), warm.Info().Warm)
+	}
+	want := "csr-vec8"
+	if isa := kernels.ISA(); isa != "scalar" {
+		want += "-" + isa
+	}
+	if got := warm.Info().Kernel; got != want {
+		t.Fatalf("vec+prefetch+unroll runs %q, want %q", got, want)
+	}
+	x := make([]float64, m.Cols())
+	for i := range x {
+		x[i] = float64(i%9) - 4
+	}
+	ref := make([]float64, m.Rows())
+	m.MulVec(x, ref)
+	got := make([]float64, m.Rows())
+	warm.MulVec(x, got)
+	for i := range ref {
+		if math.Abs(ref[i]-got[i]) > 1e-12*(1+math.Abs(ref[i])) {
+			t.Fatalf("y[%d] = %g, want %g", i, got[i], ref[i])
+		}
 	}
 }
 
