@@ -9,6 +9,7 @@ package spmvtuner
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/experiments"
@@ -16,6 +17,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/kernels"
 	"github.com/sparsekit/spmvtuner/internal/machine"
+	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/sim"
 	"github.com/sparsekit/spmvtuner/internal/solver"
@@ -325,19 +327,47 @@ func BenchmarkStreamTriad(b *testing.B) {
 	})
 }
 
-// BenchmarkCGSolve times a CG solve with the tuned kernel (the Table V
-// application context).
+// BenchmarkCGSolve times CG solves on Poisson systems through the
+// reference SpMV. The 120² grid's vectors fit in cache and every vector
+// pass runs inline; the 126³ grid (2M rows, capped at 40 iterations)
+// is past the LLC, where the passes spread over GOMAXPROCS goroutines.
+// ns/iter is a whole iteration, vec-ns/iter its part outside the
+// multiply.
 func BenchmarkCGSolve(b *testing.B) {
-	g := gen.Poisson2D(120, 120)
-	bvec := make([]float64, g.NRows)
-	for i := range bvec {
-		bvec[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := solver.CG(g.MulVec, bvec, solver.Options{Tol: 1e-8})
-		if err != nil || !res.Converged {
-			b.Fatal("CG failed")
-		}
+	for _, c := range []struct {
+		name     string
+		build    func() *matrix.CSR
+		maxIters int
+	}{
+		{"poisson2d-120", func() *matrix.CSR { return gen.Poisson2D(120, 120) }, 0},
+		{"poisson3d-126", func() *matrix.CSR { return gen.Poisson3D(126, 126, 126) }, 40},
+	} {
+		var g *matrix.CSR // built once, not on every b.N round
+		b.Run(c.name, func(b *testing.B) {
+			if g == nil {
+				g = c.build()
+			}
+			bvec := make([]float64, g.NRows)
+			for i := range bvec {
+				bvec[i] = 1
+			}
+			var spmv time.Duration
+			mul := func(x, y []float64) {
+				t := time.Now()
+				g.MulVec(x, y)
+				spmv += time.Since(t)
+			}
+			iters := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := solver.CG(mul, bvec, solver.Options{Tol: 1e-8, MaxIters: c.maxIters})
+				if err != nil || !(res.Converged || res.Iters == c.maxIters) {
+					b.Fatal("CG failed")
+				}
+				iters += res.Iters
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+			b.ReportMetric(float64((b.Elapsed()-spmv).Nanoseconds())/float64(iters), "vec-ns/iter")
+		})
 	}
 }

@@ -73,17 +73,14 @@ func Serve(cfg Config) (*ServeResult, error) {
 		return nil, fmt.Errorf("serve: %q is not a suite matrix", name)
 	}
 
-	nat := native.New()
+	eng, nat := newServeEngine()
 	defer nat.Close()
-	pipe := core.New(nat)
-	pipe.Store = planstore.New(planstore.DefaultCapacity)
-	eng := serve.NewPipelineEngine(pipe)
 
 	res := &ServeResult{
 		Matrix:     m.Name,
 		NNZ:        m.NNZ(),
-		Clients:    16,
-		PerClient:  50,
+		Clients:    serveClients,
+		PerClient:  servePerClient,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
@@ -120,6 +117,18 @@ func Serve(cfg Config) (*ServeResult, error) {
 			res.Speedup, res.Coalesced.ReqPerSec, res.Sequential.ReqPerSec)
 	}
 	return res, nil
+}
+
+// serveClients closed-loop clients each make servePerClient requests.
+const serveClients, servePerClient = 16, 50
+
+// newServeEngine is the native pipeline, with a plan store, that both
+// serving modes share. Closing the executor releases its worker pool.
+func newServeEngine() (*serve.PipelineEngine, *native.Executor) {
+	nat := native.New()
+	pipe := core.New(nat)
+	pipe.Store = planstore.New(planstore.DefaultCapacity)
+	return serve.NewPipelineEngine(pipe), nat
 }
 
 // serveLoad runs the closed-loop client population against a fresh

@@ -4,9 +4,35 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/sparsekit/spmvtuner/internal/serve"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 func TestServeExperiment(t *testing.T) {
+	if raceEnabled {
+		// Both modes pay the race detector per word of the callers'
+		// vectors, so coalesced against sequential req/s compares
+		// instrumentation, not coalescing, and fails on a busy host. The
+		// un-instrumented throughput gate is CI's serve smoke; here the
+		// coalesced load runs alone with every correctness invariant.
+		eng, nat := newServeEngine()
+		defer nat.Close()
+		row, maxDiff, err := serveLoad(eng, suite.ByName(serveDefaultMatrix, 0.05), serve.DefaultMaxBatch, serveClients, servePerClient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(serveClients * servePerClient); row.Requests != want {
+			t.Fatalf("coalesced requests %d, want %d", row.Requests, want)
+		}
+		if row.MeanBatchWidth < 1 || row.MeanBatchWidth > float64(serve.DefaultMaxBatch) {
+			t.Fatalf("coalesced mean batch width %.2f out of [1,%d]", row.MeanBatchWidth, serve.DefaultMaxBatch)
+		}
+		if maxDiff > 1e-12 {
+			t.Fatalf("coalesced vectors deviate from the serial reference by %g", maxDiff)
+		}
+		return
+	}
 	res, err := Serve(Config{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,20 @@
 // also provides the amortization arithmetic of Table V: the minimum
 // number of solver iterations for an optimizer's preprocessing cost to
 // pay for itself.
+//
+// Every vector pass splits [0, n) into fixed blocks spread over
+// GOMAXPROCS goroutines, so the passes around an out-of-cache SpMV use
+// every core's share of the memory bus. CG fuses its vector work into
+// three passes per iteration. Reductions sum each block serially and
+// then the block sums in block order, so a solve returns the same bits
+// at any GOMAXPROCS.
 package solver
 
 import (
 	"errors"
 	"math"
+	"runtime"
+	"sync"
 
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
@@ -49,74 +58,178 @@ type Result struct {
 // the Krylov recurrences.
 var ErrBreakdown = errors.New("solver: numerical breakdown")
 
-func dot(a, b []float64) float64 {
+// block is the length of the runs every vector pass splits [0, n)
+// into. It is the unit of parallel work and of summation order, sized
+// so one run of a few vectors stays in L2 while a pass over a
+// multi-megabyte vector still yields hundreds of runs to spread.
+const block = 1 << 14
+
+// forBlocks calls body(k, lo, hi) for every block k = [lo, hi) of
+// [0, n). Contiguous runs of blocks go to min(GOMAXPROCS, blocks)
+// goroutines, the first on the caller; with one block, or one P, the
+// whole pass runs inline.
+func forBlocks(n int, body func(k, lo, hi int)) {
+	nb := (n + block - 1) / block
+	run := func(k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			body(k, k*block, min((k+1)*block, n))
+		}
+	}
+	w := min(runtime.GOMAXPROCS(0), nb)
+	if w <= 1 {
+		run(0, nb)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for g := 1; g < w; g++ {
+		go func(k0, k1 int) {
+			defer wg.Done()
+			run(k0, k1)
+		}(g*nb/w, (g+1)*nb/w)
+	}
+	run(0, nb/w)
+	wg.Wait()
+}
+
+// partials holds one partial sum per block of an n-vector. A
+// reduction sums each block serially and then the block sums in block
+// order, so it adds the same terms in the same order at any goroutine
+// count, and for n <= block it is the plain serial sum.
+type partials []float64
+
+func newPartials(n int) partials { return make(partials, (n+block-1)/block) }
+
+// sum returns the sum of f(lo, hi) over the blocks of [0, n).
+func (ps partials) sum(n int, f func(lo, hi int) float64) float64 {
+	forBlocks(n, func(k, lo, hi int) { ps[k] = f(lo, hi) })
 	var s float64
-	for i := range a {
-		s += a[i] * b[i]
+	for _, v := range ps {
+		s += v
 	}
 	return s
 }
 
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
+func (ps partials) dot(a, b []float64) float64 {
+	return ps.sum(len(a), func(lo, hi int) float64 {
+		a, b := a[lo:hi], b[lo:hi]
+		var s float64
+		for i, v := range a {
+			s += v * b[i]
+		}
+		return s
+	})
+}
+
+func (ps partials) norm2(a []float64) float64 { return math.Sqrt(ps.dot(a, a)) }
+
+// residual sets r = b - ax and returns r·r.
+func (ps partials) residual(b, ax, r []float64) float64 {
+	return ps.sum(len(r), func(lo, hi int) float64 {
+		b, ax, r := b[lo:hi], ax[lo:hi], r[lo:hi]
+		var s float64
+		for i := range r {
+			r[i] = b[i] - ax[i]
+			s += r[i] * r[i]
+		}
+		return s
+	})
+}
 
 // axpy computes y += alpha*x.
 func axpy(alpha float64, x, y []float64) {
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
+	forBlocks(len(x), func(_, lo, hi int) {
+		x, y := x[lo:hi], y[lo:hi]
+		for i, v := range x {
+			y[i] += alpha * v
+		}
+	})
+}
+
+// div computes dst = src / d.
+func div(dst, src []float64, d float64) {
+	forBlocks(len(src), func(_, lo, hi int) {
+		dst, src := dst[lo:hi], src[lo:hi]
+		for i, v := range src {
+			dst[i] = v / d
+		}
+	})
 }
 
 // CG solves A x = b for symmetric positive definite A using the
-// (optionally preconditioned) Conjugate Gradient method.
+// (optionally preconditioned) Conjugate Gradient method. An iteration
+// makes three vector passes besides the multiply: p·Ap; x += αp,
+// r -= αAp and r·r fused; and p = z + βp. Without a preconditioner z
+// is r itself, so r·z is the r·r of the fused pass.
 func CG(mul MulVec, b []float64, opts Options) (Result, error) {
 	n := len(b)
 	o := opts.withDefaults(n)
+	ps := newPartials(n)
 	x := make([]float64, n)
 	r := make([]float64, n)
-	copy(r, b) // x0 = 0 => r0 = b
-	z := make([]float64, n)
-	applyPre := func(r, z []float64) {
-		if o.Precond != nil {
-			o.Precond(r, z)
-		} else {
-			copy(z, r)
-		}
-	}
-	applyPre(r, z)
 	p := make([]float64, n)
-	copy(p, z)
 	ap := make([]float64, n)
-
-	bnorm := norm2(b)
+	// x0 = 0, so r0 = b and, unpreconditioned, p0 = r0.
+	bb := ps.sum(n, func(lo, hi int) float64 {
+		b, r, p := b[lo:hi], r[lo:hi], p[lo:hi]
+		var s float64
+		for i, v := range b {
+			r[i], p[i] = v, v
+			s += v * v
+		}
+		return s
+	})
+	bnorm := math.Sqrt(bb)
 	if bnorm == 0 {
 		return Result{X: x, Converged: true}, nil
 	}
-	rz := dot(r, z)
+	z, rz := r, bb
+	if o.Precond != nil {
+		z = make([]float64, n)
+		o.Precond(r, z)
+		copy(p, z)
+		rz = ps.dot(r, z)
+	}
+	res := 1.0
 	for k := 0; k < o.MaxIters; k++ {
 		mul(p, ap)
-		pap := dot(p, ap)
+		pap := ps.dot(p, ap)
 		if pap == 0 {
-			return Result{X: x, Iters: k, Residual: norm2(r) / bnorm}, ErrBreakdown
+			return Result{X: x, Iters: k, Residual: ps.norm2(r) / bnorm}, ErrBreakdown
 		}
 		alpha := rz / pap
-		axpy(alpha, p, x)
-		axpy(-alpha, ap, r)
-		res := norm2(r) / bnorm
+		rr := ps.sum(n, func(lo, hi int) float64 {
+			x, r, p, ap := x[lo:hi], r[lo:hi], p[lo:hi], ap[lo:hi]
+			var s float64
+			for i := range r {
+				x[i] += alpha * p[i]
+				r[i] -= alpha * ap[i]
+				s += r[i] * r[i]
+			}
+			return s
+		})
+		res = math.Sqrt(rr) / bnorm
 		if res < o.Tol {
 			return Result{X: x, Iters: k + 1, Residual: res, Converged: true}, nil
 		}
-		applyPre(r, z)
-		rzNew := dot(r, z)
+		rzNew := rr
+		if o.Precond != nil {
+			o.Precond(r, z)
+			rzNew = ps.dot(r, z)
+		}
 		if rz == 0 {
 			return Result{X: x, Iters: k + 1, Residual: res}, ErrBreakdown
 		}
 		beta := rzNew / rz
 		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+		forBlocks(n, func(_, lo, hi int) {
+			z, p := z[lo:hi], p[lo:hi]
+			for i, v := range z {
+				p[i] = v + beta*p[i]
+			}
+		})
 	}
-	return Result{X: x, Iters: o.MaxIters, Residual: norm2(r) / bnorm}, nil
+	return Result{X: x, Iters: o.MaxIters, Residual: res}, nil
 }
 
 // GMRES solves A x = b using restarted GMRES(restart) with modified
@@ -130,11 +243,12 @@ func GMRES(mul MulVec, b []float64, restart int, opts Options) (Result, error) {
 	if restart > n {
 		restart = n
 	}
+	ps := newPartials(n)
 	x := make([]float64, n)
 	r := make([]float64, n)
 	tmp := make([]float64, n)
 
-	bnorm := norm2(b)
+	bnorm := ps.norm2(b)
 	if bnorm == 0 {
 		return Result{X: x, Converged: true}, nil
 	}
@@ -151,15 +265,12 @@ func GMRES(mul MulVec, b []float64, restart int, opts Options) (Result, error) {
 	cs := make([]float64, restart)
 	sn := make([]float64, restart)
 	g := make([]float64, restart+1)
+	y := make([]float64, restart)
 
 	totalIters := 0
 	for totalIters < o.MaxIters {
-		// r = b - A x
 		mul(x, tmp)
-		for i := range r {
-			r[i] = b[i] - tmp[i]
-		}
-		beta := norm2(r)
+		beta := math.Sqrt(ps.residual(b, tmp, r))
 		if beta/bnorm < o.Tol {
 			return Result{X: x, Iters: totalIters, Residual: beta / bnorm, Converged: true}, nil
 		}
@@ -167,9 +278,7 @@ func GMRES(mul MulVec, b []float64, restart int, opts Options) (Result, error) {
 			g[i] = 0
 		}
 		g[0] = beta
-		for i := range r {
-			V[0][i] = r[i] / beta
-		}
+		div(V[0], r, beta)
 
 		k := 0
 		for ; k < restart && totalIters < o.MaxIters; k++ {
@@ -178,14 +287,12 @@ func GMRES(mul MulVec, b []float64, restart int, opts Options) (Result, error) {
 			mul(V[k], tmp)
 			w := tmp
 			for j := 0; j <= k; j++ {
-				H[j][k] = dot(w, V[j])
+				H[j][k] = ps.dot(w, V[j])
 				axpy(-H[j][k], V[j], w)
 			}
-			H[k+1][k] = norm2(w)
+			H[k+1][k] = ps.norm2(w)
 			if H[k+1][k] != 0 {
-				for i := range w {
-					V[k+1][i] = w[i] / H[k+1][k]
-				}
+				div(V[k+1], w, H[k+1][k])
 			}
 			// Apply accumulated Givens rotations to the new column.
 			for j := 0; j < k; j++ {
@@ -210,7 +317,6 @@ func GMRES(mul MulVec, b []float64, restart int, opts Options) (Result, error) {
 			}
 		}
 		// Back-substitute y from H y = g and update x += V y.
-		y := make([]float64, k)
 		for i := k - 1; i >= 0; i-- {
 			s := g[i]
 			for j := i + 1; j < k; j++ {
@@ -223,10 +329,7 @@ func GMRES(mul MulVec, b []float64, restart int, opts Options) (Result, error) {
 		}
 	}
 	mul(x, tmp)
-	for i := range r {
-		r[i] = b[i] - tmp[i]
-	}
-	res := norm2(r) / bnorm
+	res := math.Sqrt(ps.residual(b, tmp, r)) / bnorm
 	return Result{X: x, Iters: totalIters, Residual: res, Converged: res < o.Tol}, nil
 }
 
@@ -244,9 +347,12 @@ func Jacobi(m *matrix.CSR) func(r, z []float64) {
 		}
 	}
 	return func(r, z []float64) {
-		for i := range r {
-			z[i] = r[i] * inv[i]
-		}
+		forBlocks(len(r), func(_, lo, hi int) {
+			z, inv := z[lo:hi], inv[lo:hi]
+			for i, v := range r[lo:hi] {
+				z[i] = v * inv[i]
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -94,42 +95,48 @@ func TestCGZeroRHS(t *testing.T) {
 }
 
 func TestCGIterationCap(t *testing.T) {
-	m := spdMatrix(30)
-	b := rhs(m.NRows, 5)
-	res, err := CG(m.MulVec, b, Options{Tol: 1e-14, MaxIters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged || res.Iters != 3 {
-		t.Fatalf("cap ignored: %+v", res)
+	for _, g := range []int{30, 182} { // 182² spans three blocks
+		m := spdMatrix(g)
+		b := rhs(m.NRows, 5)
+		res, err := CG(m.MulVec, b, Options{Tol: 1e-14, MaxIters: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Converged || res.Iters != 3 {
+			t.Fatalf("grid %d: cap ignored: %+v", g, res)
+		}
+		if r := residual(m, res.X, b); math.Abs(r-res.Residual) > 1e-12 {
+			t.Fatalf("grid %d: reported residual %g, true %g", g, res.Residual, r)
+		}
 	}
 }
 
 func TestGMRESSolvesNonsymmetric(t *testing.T) {
-	// Diagonally dominant nonsymmetric matrix.
-	n := 300
-	rng := rand.New(rand.NewSource(7))
-	coo := matrix.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 10+rng.Float64())
-		for k := 0; k < 4; k++ {
-			j := rng.Intn(n)
-			if j != i {
-				coo.Add(i, j, rng.NormFloat64()*0.5)
+	for _, n := range []int{300, 2*block + 3} {
+		// Diagonally dominant nonsymmetric matrix.
+		rng := rand.New(rand.NewSource(7))
+		coo := matrix.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			coo.Add(i, i, 10+rng.Float64())
+			for k := 0; k < 4; k++ {
+				j := rng.Intn(n)
+				if j != i {
+					coo.Add(i, j, rng.NormFloat64()*0.5)
+				}
 			}
 		}
-	}
-	m := coo.ToCSR()
-	b := rhs(n, 8)
-	res, err := GMRES(m.MulVec, b, 30, Options{Tol: 1e-9, MaxIters: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("GMRES did not converge: %d iters, res %g", res.Iters, res.Residual)
-	}
-	if r := residual(m, res.X, b); r > 1e-7 {
-		t.Fatalf("true residual %g", r)
+		m := coo.ToCSR()
+		b := rhs(n, 8)
+		res, err := GMRES(m.MulVec, b, 30, Options{Tol: 1e-9, MaxIters: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("n %d: GMRES did not converge: %d iters, res %g", n, res.Iters, res.Residual)
+		}
+		if r := residual(m, res.X, b); r > 1e-7 {
+			t.Fatalf("n %d: true residual %g", n, r)
+		}
 	}
 }
 
@@ -220,5 +227,154 @@ func TestCGAndGMRESAgreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tridiag is an SPD tridiagonal system of any order whose diagonal
+// varies (2.5 + i mod 5 against off-diagonals -1), so Jacobi changes
+// the iterates and CG converges in a few dozen iterations.
+func tridiag(n int) *matrix.CSR {
+	coo := matrix.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 2.5+float64(i%5))
+		if i > 0 {
+			coo.Add(i, i-1, -1)
+			coo.Add(i-1, i, -1)
+		}
+	}
+	return coo.ToCSR()
+}
+
+// boundarySystems are systems whose order straddles the vector passes'
+// block boundaries, plus a 33K-row Poisson grid.
+func boundarySystems() map[string]*matrix.CSR {
+	return map[string]*matrix.CSR{
+		"block-1":     tridiag(block - 1),
+		"block+1":     tridiag(block + 1),
+		"2block+3":    tridiag(2*block + 3),
+		"poisson-182": spdMatrix(182),
+	}
+}
+
+// Iteration caps keep the race-instrumented runs of these large
+// systems short.
+const boundaryIters = 40
+
+// textbookCG is the unfused preconditioned CG of the textbooks: one
+// serial loop per vector operation, z a separate vector even without
+// a preconditioner.
+func textbookCG(m *matrix.CSR, b []float64, o Options) ([]float64, int) {
+	dot := func(a, c []float64) float64 {
+		var s float64
+		for i := range a {
+			s += a[i] * c[i]
+		}
+		return s
+	}
+	pre := o.Precond
+	if pre == nil {
+		pre = func(r, z []float64) { copy(z, r) }
+	}
+	n := len(b)
+	x, r, z, p, ap := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	copy(r, b)
+	pre(r, z)
+	copy(p, z)
+	bnorm := math.Sqrt(dot(b, b))
+	rz := dot(r, z)
+	for k := 0; k < o.MaxIters; k++ {
+		m.MulVec(p, ap)
+		alpha := rz / dot(p, ap)
+		for i := range x {
+			x[i] += alpha * p[i]
+		}
+		for i := range r {
+			r[i] -= alpha * ap[i]
+		}
+		if math.Sqrt(dot(r, r))/bnorm < o.Tol {
+			return x, k + 1
+		}
+		pre(r, z)
+		rzNew := dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return x, o.MaxIters
+}
+
+// TestCGMatchesTextbookOnBlockBoundaries pins the fused, block-ordered
+// CG to the unfused serial one: the same iteration count and, since
+// only the summation order differs, the same solution to 1e-10.
+func TestCGMatchesTextbookOnBlockBoundaries(t *testing.T) {
+	for name, m := range boundarySystems() {
+		b := rhs(m.NRows, 11)
+		for _, pre := range []func(r, z []float64){nil, Jacobi(m)} {
+			o := Options{Tol: 1e-8, MaxIters: boundaryIters, Precond: pre}
+			got, err := CG(m.MulVec, b, o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, iters := textbookCG(m, b, o)
+			if got.Iters != iters {
+				t.Fatalf("%s (jacobi %v): %d iterations, textbook %d", name, pre != nil, got.Iters, iters)
+			}
+			var scale float64
+			for _, v := range want {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for i := range want {
+				if d := math.Abs(got.X[i] - want[i]); d > 1e-10*scale {
+					t.Fatalf("%s (jacobi %v): x[%d] = %.17g, textbook %.17g", name, pre != nil, i, got.X[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSolversReproducibleAcrossGOMAXPROCS: every reduction adds its
+// block sums in block order, so CG, Jacobi CG and GMRES return the
+// same bits however many goroutines ran the vector passes.
+func TestSolversReproducibleAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, m := range boundarySystems() {
+		b := rhs(m.NRows, 12)
+		solvers := map[string]func() (Result, error){
+			"cg": func() (Result, error) {
+				return CG(m.MulVec, b, Options{Tol: 1e-14, MaxIters: boundaryIters})
+			},
+			"cg-jacobi": func() (Result, error) {
+				return CG(m.MulVec, b, Options{Tol: 1e-14, MaxIters: boundaryIters, Precond: Jacobi(m)})
+			},
+			"gmres": func() (Result, error) {
+				return GMRES(m.MulVec, b, 5, Options{Tol: 1e-14, MaxIters: boundaryIters})
+			},
+		}
+		for sname, solve := range solvers {
+			var ref Result
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got, err := solve()
+				if err != nil {
+					t.Fatalf("%s %s GOMAXPROCS %d: %v", name, sname, procs, err)
+				}
+				if procs == 1 {
+					ref = got
+					continue
+				}
+				if got.Iters != ref.Iters || math.Float64bits(got.Residual) != math.Float64bits(ref.Residual) {
+					t.Fatalf("%s %s GOMAXPROCS %d: iters %d residual %x, GOMAXPROCS 1: iters %d residual %x",
+						name, sname, procs, got.Iters, math.Float64bits(got.Residual), ref.Iters, math.Float64bits(ref.Residual))
+				}
+				for i := range ref.X {
+					if math.Float64bits(got.X[i]) != math.Float64bits(ref.X[i]) {
+						t.Fatalf("%s %s GOMAXPROCS %d: x[%d] = %x, GOMAXPROCS 1 gave %x",
+							name, sname, procs, i, math.Float64bits(got.X[i]), math.Float64bits(ref.X[i]))
+					}
+				}
+			}
+		}
 	}
 }
